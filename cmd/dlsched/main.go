@@ -24,6 +24,10 @@
 // batched what-if engine. The output is a service.BatchWhatIfResponse,
 // byte-identical to POST /sessions/{id}/whatif/batch on a schedd
 // session over the same platform and configuration.
+//
+// Both JSON modes print through service.EncodeJSON, the encoder
+// behind every schedd response: compact JSON plus a trailing newline
+// (pipe through jq to read it).
 package main
 
 import (
@@ -233,17 +237,12 @@ func emitJSON(platformJSON []byte, heur, objName string, obj core.Objective, pr 
 	default:
 		return fmt.Errorf("unknown heuristic %q", heur)
 	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = os.Stdout.Write(append(out, '\n'))
-	return err
+	return service.EncodeJSON(os.Stdout, rep)
 }
 
 // emitBatch answers a batched what-if request through the service's
 // engine (fresh warm session, forked solve contexts) and prints the
-// response in the HTTP endpoint's exact encoding — two-space indent
+// response through the HTTP endpoint's own encoder — compact JSON
 // plus trailing newline — so the CLI output byte-diffs clean against
 // POST /sessions/{id}/whatif/batch.
 func emitBatch(platformJSON []byte, heur, objName string, pr *core.Problem, seed int64, batchFile string) error {
@@ -268,12 +267,7 @@ func emitBatch(platformJSON []byte, heur, objName string, pr *core.Problem, seed
 	if err != nil {
 		return err
 	}
-	out, err := json.MarshalIndent(resp, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = os.Stdout.Write(append(out, '\n'))
-	return err
+	return service.EncodeJSON(os.Stdout, resp)
 }
 
 func safeRatio(a, b float64) float64 {

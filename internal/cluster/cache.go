@@ -54,10 +54,12 @@ func cacheKey(state, query string) string { return state + "\x00" + query }
 // hit or miss.
 func (c *AnswerCache) Get(state, query string) (any, bool) {
 	key := cacheKey(state, query)
+	var value any
 	c.mu.Lock()
 	el, ok := c.entries[key]
 	if ok {
 		c.order.MoveToFront(el)
+		value = el.Value.(*cacheEntry).value // under mu: Put may replace it
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -65,7 +67,7 @@ func (c *AnswerCache) Get(state, query string) (any, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*cacheEntry).value, true
+	return value, true
 }
 
 // Put caches value for query under state, evicting the least recently

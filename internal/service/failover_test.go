@@ -556,6 +556,70 @@ func TestReplicateHandlerFencing(t *testing.T) {
 	}
 }
 
+// TestOutOfOrderFanoutIsSuperseded pins the sender side of the epoch
+// fence: when two commits' fan-outs race and the replica receives
+// epoch N+1 before epoch N, the refused older push is counted as
+// superseded — not as a replica error, and not as a lagging replica in
+// the health condition — while the replica keeps N+1. A refusal for a
+// stale incarnation still counts as a failure.
+func TestOutOfOrderFanoutIsSuperseded(t *testing.T) {
+	nodes, servers := startRing(t, 2, false)
+	client := servers[0].Client()
+	pl := testPlatform(t, 6, 207)
+	resp := ringCreate(t, client, servers[0].URL, &CreateSessionRequest{Platform: platformJSON(t, pl)})
+	owner, successor := ringOwnerOf(t, nodes, resp.ID)
+	commit := func() {
+		t.Helper()
+		doJSON(t, client, "POST", servers[0].URL+"/sessions/"+resp.ID+"/epoch",
+			&EpochRequest{SpeedFactor: driftFactors(resp.K, 0.97)}, nil, http.StatusOK)
+	}
+	lagCondition := func() Condition {
+		t.Helper()
+		conds := nodes[owner].replicationCondition(resp.ID)
+		if len(conds) != 1 {
+			t.Fatalf("replication conditions = %+v, want one", conds)
+		}
+		return conds[0]
+	}
+
+	commit() // epoch 1
+	snapN, err := nodes[owner].srv.Pool().Get(resp.ID).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit() // epoch 2 reaches the replica first
+	if rep := nodes[successor].getReplica(resp.ID); rep == nil || rep.snap.Epoch != 2 {
+		t.Fatalf("replica before the late push = %+v, want epoch 2", rep)
+	}
+
+	nodes[owner].replicateOut(snapN) // epoch 1's fan-out arrives last
+	st := nodes[owner].Stats().Cluster
+	if st.ReplicaErrors != 0 || st.ReplicasSuperseded != 1 {
+		t.Fatalf("late older push: replicaErrors %d, superseded %d; want 0 and 1", st.ReplicaErrors, st.ReplicasSuperseded)
+	}
+	if rep := nodes[successor].getReplica(resp.ID); rep == nil || rep.snap.Epoch != 2 {
+		t.Fatalf("replica after the late push = %+v, want epoch 2", rep)
+	}
+	if c := lagCondition(); c.Status != CondHealthy {
+		t.Fatalf("replication condition after a superseded push = %+v, want Healthy", c)
+	}
+
+	// A 409 for a stale incarnation is a real failure: the successor
+	// believes the owner has restarted since this push was sent.
+	nodes[successor].membership.ObserveAck(nodes[owner].self, nodes[owner].membership.Incarnation()+5, time.Now())
+	snapNow, err := nodes[owner].srv.Pool().Get(resp.ID).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes[owner].replicateOut(snapNow)
+	if st := nodes[owner].Stats().Cluster; st.ReplicaErrors != 1 || st.ReplicasSuperseded != 1 {
+		t.Fatalf("stale-incarnation push: replicaErrors %d, superseded %d; want 1 and 1", st.ReplicaErrors, st.ReplicasSuperseded)
+	}
+	if c := lagCondition(); c.Status != CondDegraded {
+		t.Fatalf("replication condition after a failed push = %+v, want Degraded", c)
+	}
+}
+
 // TestConcurrentReplicateAndCommit races epoch commits against
 // snapshot replication and failover reads on one session (run under
 // -race in CI): commits serialize correctly, every request succeeds,

@@ -30,6 +30,7 @@ type nodeMetrics struct {
 	fenced        *obs.Counter
 	replicasSent  *obs.Counter
 	replicaErrors *obs.Counter
+	superseded    *obs.Counter
 	replicasHeld  *obs.Gauge
 	migrations    *obs.Counter
 	snapshotBytes *obs.Counter
@@ -64,6 +65,8 @@ func newNodeMetrics(reg *obs.Registry, n *Node) *nodeMetrics {
 			"Outbound snapshot replicas acked by a successor."),
 		replicaErrors: reg.Counter("schedd_cluster_replica_errors_total",
 			"Outbound snapshot replicas that failed."),
+		superseded: reg.Counter("schedd_cluster_replicas_superseded_total",
+			"Outbound snapshot replicas refused because the target already held a newer epoch."),
 		replicasHeld: reg.Gauge("schedd_cluster_replicas_held",
 			"Passive replicas currently held for other members."),
 		migrations: reg.Counter("schedd_cluster_migrations_total",
@@ -91,6 +94,7 @@ func (n *Node) collect(m *nodeMetrics) {
 	m.fenced.Set(n.fencedCommits.Load())
 	m.replicasSent.Set(n.replicasSent.Load())
 	m.replicaErrors.Set(n.replicaErrors.Load())
+	m.superseded.Set(n.superseded.Load())
 	m.replicasHeld.Set(float64(n.replicaCount()))
 	m.migrations.Set(n.migrations.Load())
 	m.snapshotBytes.Set(n.snapshotBytes.Load())
@@ -110,8 +114,10 @@ func (n *Node) collect(m *nodeMetrics) {
 }
 
 // fanoutRecord summarizes a session's most recent snapshot fan-out:
-// how many replicas were targeted and how many sends failed. The
-// replication-lag health condition reads it.
+// how many replicas were targeted and how many sends failed. A send
+// the target refused because it already held a newer epoch is not a
+// failure: that replica is ahead, not lagging. The replication-lag
+// health condition reads it.
 type fanoutRecord struct {
 	targets int
 	failed  int

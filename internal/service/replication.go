@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -92,12 +93,18 @@ func (n *Node) replicationTargets(id string) []string {
 	return out
 }
 
+// errReplicaSuperseded marks a replica send the target refused because
+// it already holds a newer epoch of the session. Two commits on one
+// session can finish in either order, and so can their fan-outs; the
+// older snapshot arriving second is superseded, not lost.
+var errReplicaSuperseded = errors.New("target holds a newer epoch")
+
 // replicateOut fans the sealed snapshot to the ring successors and
 // verifies each ack's checksum. It runs synchronously inside the
 // session-commit hook — before the client's HTTP response is written
-// — so an acked commit is always either replicated or counted in
-// ReplicaErrors; there is no window where an ack implies durability
-// the cluster doesn't have.
+// — so an acked commit is always either replicated, superseded at the
+// target by a newer epoch, or counted in ReplicaErrors; there is no
+// window where an ack implies durability the cluster doesn't have.
 func (n *Node) replicateOut(snap *cluster.SessionSnapshot) {
 	targets := n.replicationTargets(snap.ID)
 	if len(targets) == 0 {
@@ -114,12 +121,15 @@ func (n *Node) replicateOut(snap *cluster.SessionSnapshot) {
 		start := time.Now()
 		err := n.sendReplica(target, snap, data)
 		n.metrics.fanout.Observe(time.Since(start))
-		if err != nil {
+		switch {
+		case errors.Is(err, errReplicaSuperseded):
+			n.superseded.Add(1)
+		case err != nil:
 			n.replicaErrors.Add(1)
 			failed++
-			continue
+		default:
+			n.replicasSent.Add(1)
 		}
-		n.replicasSent.Add(1)
 	}
 	n.lastFanout.Store(snap.ID, fanoutRecord{targets: len(targets), failed: failed, at: time.Now()})
 }
@@ -142,6 +152,11 @@ func (n *Node) sendReplica(target string, snap *cluster.SessionSnapshot, data []
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 	if err != nil {
 		return err
+	}
+	if resp.StatusCode == http.StatusConflict {
+		if held, err := strconv.Atoi(resp.Header.Get(heldEpochHeader)); err == nil && held > snap.Epoch {
+			return errReplicaSuperseded
+		}
 	}
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("replicate %s to %s: status %d: %s", snap.ID, target, resp.StatusCode, body)
@@ -185,6 +200,7 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		n.membership.ObserveAck(from, inc, time.Now())
 	}
 	if held := n.getReplica(snap.ID); held != nil && snap.Epoch < held.snap.Epoch {
+		w.Header().Set(heldEpochHeader, strconv.Itoa(held.snap.Epoch))
 		writeError(w, http.StatusConflict,
 			fmt.Errorf("replica of %s: epoch %d below held %d", snap.ID, snap.Epoch, held.snap.Epoch))
 		return
@@ -193,6 +209,7 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		liveEpoch := live.Info().Epoch
 		switch {
 		case snap.Epoch < liveEpoch:
+			w.Header().Set(heldEpochHeader, strconv.Itoa(liveEpoch))
 			writeError(w, http.StatusConflict,
 				fmt.Errorf("replica of %s: epoch %d below live %d", snap.ID, snap.Epoch, liveEpoch))
 			return

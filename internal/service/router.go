@@ -38,12 +38,15 @@ const hopsHeader = "X-Schedd-Hops"
 // carry and still be served.
 const maxForwardHops = 3
 
-// incarnationHeader and epochHeader fence internal cluster transfers
-// (replicate): a message from a peer's previous life, or carrying
-// state older than what the receiver already holds, is rejected.
+// incarnationHeader and fromHeader fence internal cluster transfers
+// (replicate): a message from a peer's previous life is rejected. A
+// replica carrying state older than what the receiver already holds is
+// rejected too, and the refusal names the receiver's epoch in
+// heldEpochHeader, so the sender can tell "superseded" from "failed".
 const (
 	incarnationHeader = "X-Schedd-Incarnation"
 	fromHeader        = "X-Schedd-From"
+	heldEpochHeader   = "X-Schedd-Held-Epoch"
 )
 
 // commitIDHeader tags every epoch commit with an idempotency ID (set
@@ -191,6 +194,7 @@ type Node struct {
 	promotions    atomic.Uint64
 	replicasSent  atomic.Uint64
 	replicaErrors atomic.Uint64
+	superseded    atomic.Uint64
 	fencedCommits atomic.Uint64
 	routingLoops  atomic.Uint64
 }
@@ -602,6 +606,7 @@ func relay(w http.ResponseWriter, status int, header http.Header, body []byte) {
 	if ct := header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	w.Write(body) //nolint:errcheck // nothing to do about a failed relay
 }
@@ -863,6 +868,7 @@ func (n *Node) Stats() PoolStatsResponse {
 	resp.Cluster.ReplicasHeld = n.replicaCount()
 	resp.Cluster.ReplicasSent = n.replicasSent.Load()
 	resp.Cluster.ReplicaErrors = n.replicaErrors.Load()
+	resp.Cluster.ReplicasSuperseded = n.superseded.Load()
 	resp.Cluster.FencedCommits = n.fencedCommits.Load()
 	resp.Cluster.RoutingLoops = n.routingLoops.Load()
 	resp.Cluster.Incarnation = n.membership.Incarnation()

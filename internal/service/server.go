@@ -1,12 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/platform"
@@ -32,6 +36,12 @@ const maxBodyBytes = 16 << 20
 //	GET    /stats                  PoolStatsResponse (with health conditions)
 //	GET    /healthz                health probe: 200 ok, 503 when any condition is Degraded
 //	GET    /metrics                Prometheus text exposition
+//
+// Every JSON body is compact (no indentation) with a trailing newline
+// and goes out in one write with its Content-Length set; pipe it
+// through jq for a human-readable view. Repeat answers served from a
+// session's answer cache are written as bytes encoded once, on the
+// entry's first hit, and reused until the next commit drops the entry.
 //
 // Every response carries the request's trace ID in X-Schedd-Trace
 // (adopted from the request when the client supplies one, minted at
@@ -79,12 +89,96 @@ func (s *Server) Handler() http.Handler {
 	return s.instrument(mux)
 }
 
+// jsonBuffer is a reusable encode target: a buffer and an encoder
+// bound to it. Encode errors do not stick to a json.Encoder (only
+// write errors do, and a bytes.Buffer never fails a write), so the
+// pair is safe to reuse after a failed encode.
+type jsonBuffer struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxPooledBuffer bounds the capacity a buffer may keep when it goes
+// back to the pool, so one huge /stats or platform body does not pin
+// its memory for the life of the process.
+const maxPooledBuffer = 256 << 10
+
+var jsonBuffers = sync.Pool{New: func() any {
+	b := &jsonBuffer{}
+	b.enc = json.NewEncoder(&b.buf)
+	return b
+}}
+
+// encodeJSON encodes v into a pooled buffer; the caller releases it.
+// On error nothing is returned to hold.
+func encodeJSON(v any) (*jsonBuffer, error) {
+	b := jsonBuffers.Get().(*jsonBuffer)
+	if err := b.enc.Encode(v); err != nil {
+		b.release()
+		return nil, err
+	}
+	return b, nil
+}
+
+func (b *jsonBuffer) release() {
+	if b.buf.Cap() > maxPooledBuffer {
+		return
+	}
+	b.buf.Reset()
+	jsonBuffers.Put(b)
+}
+
+// EncodeJSON writes v to w in the service's one response encoding:
+// compact JSON plus a trailing newline, in a single Write. v is fully
+// encoded before anything is written, so a value that does not encode
+// (NaN or ±Inf in a float field) writes nothing and returns the error.
+// cmd/dlsched prints through it, so its output byte-diffs clean
+// against the HTTP endpoints.
+func EncodeJSON(w io.Writer, v any) error {
+	b, err := encodeJSON(v)
+	if err != nil {
+		return err
+	}
+	defer b.release()
+	_, err = w.Write(b.buf.Bytes())
+	return err
+}
+
+// writeJSON answers with v encoded by EncodeJSON's rules. Encoding
+// happens before the status line, so a value that does not encode is
+// answered 500 with an ErrorResponse instead of a 200 with a
+// truncated body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	b, err := encodeJSON(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		b, _ = encodeJSON(ErrorResponse{Error: "encoding response: " + err.Error()}) // a string always encodes
+	}
+	writeBody(w, status, b.buf.Bytes())
+	b.release()
+}
+
+// writeBody answers with an already-encoded JSON body, declaring its
+// length so the response goes out unchunked in one write.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // nothing to do about a failed write
+	w.Write(body) //nolint:errcheck // nothing to do about a failed write
+}
+
+// writeAnswer answers 200 with a solve's report or, for an
+// answer-cache hit, with the entry's encoded bytes.
+func writeAnswer(w http.ResponseWriter, rep *SolveReport, hit *cachedAnswer) {
+	if hit != nil {
+		if body := hit.encoded(); body != nil {
+			writeBody(w, http.StatusOK, body)
+			return
+		}
+		rep = &hit.rep // does not encode: writeJSON answers 500
+	}
+	writeJSON(w, http.StatusOK, rep)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -195,9 +289,7 @@ func (s *Server) handlePlatform(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)         //nolint:errcheck
-	w.Write([]byte("\n")) //nolint:errcheck
+	writeJSON(w, http.StatusOK, json.RawMessage(data))
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -214,12 +306,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	rep, err := sess.Query()
+	rep, hit, err := sess.query()
 	if err != nil {
 		writeError(w, solveStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	writeAnswer(w, rep, hit)
 }
 
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
@@ -231,12 +323,12 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	rep, err := sess.WhatIf(&req)
+	rep, hit, err := sess.whatIf(&req)
 	if err != nil {
 		writeError(w, solveStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	writeAnswer(w, rep, hit)
 }
 
 func (s *Server) handleWhatIfBatch(w http.ResponseWriter, r *http.Request) {

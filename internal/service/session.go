@@ -23,6 +23,7 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -247,12 +248,44 @@ func (s *Session) refreshStateLocked() {
 	s.state.Store(s.stateKey)
 }
 
-// cacheLookup serves query from the answer cache against the
-// currently published committed state, copying the stored report with
-// Cached set. Lock-free: a hit is an answer that was valid at lookup
-// time, exactly as a solve that finished just before a concurrent
-// commit would be.
-func (s *Session) cacheLookup(query string) (*SolveReport, bool) {
+// cachedAnswer is one answer-cache entry: a private copy of the
+// answer in its Cached=true form and, from the entry's first hit on,
+// that form's encoded response body. The bytes live only here, never
+// in a SolveReport, so a report copied out of a solve and then changed
+// (the Coalesced copy, a commit-dedup replay) cannot carry stale
+// bytes; and they leave the cache with their entry when a commit
+// invalidates the state, so an answer is encoded at most once per
+// epoch. An answer that is never hit again (a fresh what-if) is never
+// encoded here at all.
+type cachedAnswer struct {
+	rep     SolveReport
+	encOnce sync.Once
+	body    []byte // nil when rep does not encode
+}
+
+// report returns a caller-owned copy of the cached answer.
+func (a *cachedAnswer) report() *SolveReport {
+	rep := a.rep
+	return &rep
+}
+
+// encoded returns the cached answer's response body, encoding it on
+// the first call; concurrent first hits share one encode.
+func (a *cachedAnswer) encoded() []byte {
+	a.encOnce.Do(func() {
+		if b, err := encodeJSON(&a.rep); err == nil {
+			a.body = bytes.Clone(b.buf.Bytes())
+			b.release()
+		}
+	})
+	return a.body
+}
+
+// cacheLookup finds query's entry in the answer cache against the
+// currently published committed state. Lock-free: a hit is an answer
+// that was valid at lookup time, exactly as a solve that finished just
+// before a concurrent commit would be.
+func (s *Session) cacheLookup(query string) (*cachedAnswer, bool) {
 	state, _ := s.state.Load().(string)
 	if state == "" {
 		return nil, false
@@ -261,9 +294,7 @@ func (s *Session) cacheLookup(query string) (*SolveReport, bool) {
 	if !ok {
 		return nil, false
 	}
-	rep := *(v.(*SolveReport))
-	rep.Cached = true
-	return &rep, true
+	return v.(*cachedAnswer), true
 }
 
 // cachePutLocked stores rep under the authoritative committed-state
@@ -273,8 +304,9 @@ func (s *Session) cacheLookup(query string) (*SolveReport, bool) {
 // later hits return copies of it, and the caller's report stays
 // mutable without aliasing the cache.
 func (s *Session) cachePutLocked(query string, rep *SolveReport) {
-	cp := *rep
-	s.cache.Put(s.stateKey, query, &cp)
+	a := &cachedAnswer{rep: *rep}
+	a.rep.Cached = true
+	s.cache.Put(s.stateKey, query, a)
 }
 
 // CacheStats returns the session's answer-cache hit/miss counters.
@@ -375,9 +407,20 @@ func (s *Session) BetaRoutes() []core.Pair {
 // solver-stats snapshot of the solve that produced them, so repeat
 // hits are byte-identical.
 func (s *Session) Query() (*SolveReport, error) {
+	rep, hit, err := s.query()
+	if hit != nil {
+		return hit.report(), nil
+	}
+	return rep, err
+}
+
+// query is Query for the HTTP handler: a cache hit comes back as its
+// entry, so the handler can write the entry's encoded bytes, and only
+// a miss builds a report.
+func (s *Session) query() (*SolveReport, *cachedAnswer, error) {
 	s.queries.Add(1)
-	if rep, ok := s.cacheLookup(queryCacheKey); ok {
-		return rep, nil
+	if hit, ok := s.cacheLookup(queryCacheKey); ok {
+		return nil, hit, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -385,7 +428,7 @@ func (s *Session) Query() (*SolveReport, error) {
 	if err == nil {
 		s.cachePutLocked(queryCacheKey, rep)
 	}
-	return rep, err
+	return rep, nil, err
 }
 
 // heuristicSolve runs the configured heuristic over the session model
@@ -509,13 +552,24 @@ func (s *Session) relaxReportLocked(sol *core.MixedSolution) *SolveReport {
 // JSON) coalesce onto one solve; every caller gets the shared report
 // (waiters see Coalesced=true).
 func (s *Session) WhatIf(req *WhatIfRequest) (*SolveReport, error) {
+	rep, hit, err := s.whatIf(req)
+	if hit != nil {
+		return hit.report(), nil
+	}
+	return rep, err
+}
+
+// whatIf is WhatIf for the HTTP handler: a cache hit comes back as its
+// entry (see query); solves and coalesced waiters come back as
+// reports.
+func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *cachedAnswer, error) {
 	key, err := json.Marshal(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if rep, ok := s.cacheLookup(string(key)); ok {
+	if hit, ok := s.cacheLookup(string(key)); ok {
 		s.whatIfs.Add(1)
-		return rep, nil
+		return nil, hit, nil
 	}
 	s.flightMu.Lock()
 	if f, ok := s.flights[string(key)]; ok {
@@ -523,11 +577,11 @@ func (s *Session) WhatIf(req *WhatIfRequest) (*SolveReport, error) {
 		<-f.done
 		s.coalesced.Add(1)
 		if f.err != nil {
-			return nil, f.err
+			return nil, nil, f.err
 		}
 		shared := *f.rep
 		shared.Coalesced = true
-		return &shared, nil
+		return &shared, nil, nil
 	}
 	f := &flight{done: make(chan struct{})}
 	s.flights[string(key)] = f
@@ -539,7 +593,7 @@ func (s *Session) WhatIf(req *WhatIfRequest) (*SolveReport, error) {
 	delete(s.flights, string(key))
 	s.flightMu.Unlock()
 	close(f.done)
-	return f.rep, f.err
+	return f.rep, nil, f.err
 }
 
 // whatIfSolve performs the actual what-if: snapshot the model's

@@ -125,8 +125,9 @@ type BatchWhatIfRequest struct {
 // Reports line up with Queries; a duplicate query's report is a copy
 // of its twin's with Coalesced set. Reports are lean — value, bound
 // and feasibility only, no allocation tables and no stats snapshot —
-// so the response is deterministic byte for byte and a batch over the
-// wire diffs clean against cmd/dlsched -batch.
+// so the response is deterministic byte for byte; cmd/dlsched -batch
+// prints it through the endpoint's own encoder (EncodeJSON), so a
+// batch over the wire diffs clean against the CLI's output.
 type BatchWhatIfResponse struct {
 	Reports []*SolveReport `json:"reports"`
 	// Distinct counts the unique queries actually solved.
@@ -255,14 +256,18 @@ type ClusterStats struct {
 	// Replication is the configured copy count per session (owner
 	// included). ReplicasHeld counts passive replicas currently held
 	// for other members; ReplicasSent/ReplicaErrors count outbound
-	// snapshot fan-outs (acked vs failed); Promotions counts passive
+	// snapshot fan-outs (acked vs failed); ReplicasSuperseded counts
+	// sends the target refused because it already held a newer epoch
+	// of the session (racing commits' fan-outs arriving out of order),
+	// which is neither an ack nor a failure; Promotions counts passive
 	// replicas turned into live sessions (failover or ownership
 	// change).
-	Replication   int    `json:"replication,omitempty"`
-	ReplicasHeld  int    `json:"replicasHeld,omitempty"`
-	ReplicasSent  uint64 `json:"replicasSent,omitempty"`
-	ReplicaErrors uint64 `json:"replicaErrors,omitempty"`
-	Promotions    uint64 `json:"promotions,omitempty"`
+	Replication        int    `json:"replication,omitempty"`
+	ReplicasHeld       int    `json:"replicasHeld,omitempty"`
+	ReplicasSent       uint64 `json:"replicasSent,omitempty"`
+	ReplicaErrors      uint64 `json:"replicaErrors,omitempty"`
+	ReplicasSuperseded uint64 `json:"replicasSuperseded,omitempty"`
+	Promotions         uint64 `json:"promotions,omitempty"`
 	// Retries counts forwarding re-sends; Failovers the subset that
 	// went to a ring successor instead of the primary owner;
 	// FencedCommits the epoch commits rejected because this replica
