@@ -316,58 +316,18 @@ func BenchmarkE12_WarmLPRG_RowBounds_K12(b *testing.B)    { benchE12WarmLPRG(b, 
 func BenchmarkE12_WarmLPRG_NativeBounds_K20(b *testing.B) { benchE12WarmLPRG(b, 20, false) }
 func BenchmarkE12_WarmLPRG_RowBounds_K20(b *testing.B)    { benchE12WarmLPRG(b, 20, true) }
 
-// BenchmarkE13_* measure the sparse LU/eta-file basis representation
-// against the dense explicit inverse it replaced (the PR 3 baseline)
-// on the warm LPRG epoch loop — the regime where every dual pivot
-// used to pay O(m²) against the dense inverse. Besides ns/op, each
-// benchmark reports the solver's pivot count and the implied
-// per-pivot cost, so the representation effect is visible separately
-// from pivot-count changes (devex pricing). K=30 runs on the LU
-// backend only: the point of the representation is that it makes
-// that scale tractable.
-func benchE13WarmLPRG(b *testing.B, k int, rep lp.BasisRep) {
+// BenchmarkE14_* measure the warm LPRG epoch loop on core.Model — the
+// eta-file LU that schedd's sessions and forks run — from K=12 up to
+// K=50. Besides ns/op, each benchmark reports pivots/op, the implied
+// per-pivot cost and refactorizations/op, so a pricing or
+// factorization change shows separately from a pivot-count change.
+func benchE14WarmLPRG(b *testing.B, k int) {
 	pr := benchBnBProblem(b, k)
 	model := benchAdaptiveModel(pr)
-	totalPivots := 0
+	totalPivots, totalRefactors := 0, 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cm, err := pr.NewModelRep(core.SUM, rep)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := adapt.RunWarmOn(cm, pr, heuristics.LPRGOnModel, model, core.SUM, benchAdaptiveEpochs); err != nil {
-			b.Fatal(err)
-		}
-		totalPivots += cm.SolverStats().Pivots
-	}
-	if totalPivots > 0 {
-		b.ReportMetric(float64(totalPivots)/float64(b.N), "pivots/op")
-		b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(totalPivots), "µs/pivot")
-	}
-}
-
-func BenchmarkE13_WarmLPRG_LU_K12(b *testing.B)       { benchE13WarmLPRG(b, 12, lp.LUEtaRep) }
-func BenchmarkE13_WarmLPRG_DenseInv_K12(b *testing.B) { benchE13WarmLPRG(b, 12, lp.DenseInverseRep) }
-func BenchmarkE13_WarmLPRG_LU_K20(b *testing.B)       { benchE13WarmLPRG(b, 20, lp.LUEtaRep) }
-func BenchmarkE13_WarmLPRG_DenseInv_K20(b *testing.B) { benchE13WarmLPRG(b, 20, lp.DenseInverseRep) }
-func BenchmarkE13_WarmLPRG_LU_K30(b *testing.B)       { benchE13WarmLPRG(b, 30, lp.LUEtaRep) }
-
-// BenchmarkE14_* measure the Forrest–Tomlin U-update basis
-// representation (plus exact dual steepest-edge pricing and the
-// bound-flipping ratio test) against the product-form eta file it
-// replaced, on the same warm LPRG epoch loop as E13. Besides ns/op,
-// each benchmark reports pivots/op, the implied per-pivot cost, and
-// refactorizations/op — the eta file's refactorization count is the
-// super-linear term FT removes, so the refactors column is the
-// headline. K=50 runs on the FT backend only: the point of the
-// representation is that it makes that scale tractable.
-func benchE14WarmLPRG(b *testing.B, k int, rep lp.BasisRep) {
-	pr := benchBnBProblem(b, k)
-	model := benchAdaptiveModel(pr)
-	totalPivots, totalRefactors, totalUpdates := 0, 0, 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cm, err := pr.NewModelRep(core.SUM, rep)
+		cm, err := pr.NewModel(core.SUM)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -377,23 +337,18 @@ func benchE14WarmLPRG(b *testing.B, k int, rep lp.BasisRep) {
 		st := cm.SolverStats()
 		totalPivots += st.Pivots
 		totalRefactors += st.Refactorizations
-		totalUpdates += st.FTUpdates
 	}
 	if totalPivots > 0 {
 		b.ReportMetric(float64(totalPivots)/float64(b.N), "pivots/op")
 		b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(totalPivots), "µs/pivot")
 	}
 	b.ReportMetric(float64(totalRefactors)/float64(b.N), "refactors/op")
-	if totalUpdates > 0 {
-		b.ReportMetric(float64(totalUpdates)/float64(b.N), "ftupdates/op")
-	}
 }
 
-func BenchmarkE14_WarmLPRG_FT_K12(b *testing.B)  { benchE14WarmLPRG(b, 12, lp.ForrestTomlinRep) }
-func BenchmarkE14_WarmLPRG_FT_K20(b *testing.B)  { benchE14WarmLPRG(b, 20, lp.ForrestTomlinRep) }
-func BenchmarkE14_WarmLPRG_FT_K30(b *testing.B)  { benchE14WarmLPRG(b, 30, lp.ForrestTomlinRep) }
-func BenchmarkE14_WarmLPRG_FT_K50(b *testing.B)  { benchE14WarmLPRG(b, 50, lp.ForrestTomlinRep) }
-func BenchmarkE14_WarmLPRG_Eta_K30(b *testing.B) { benchE14WarmLPRG(b, 30, lp.LUEtaRep) }
+func BenchmarkE14_WarmLPRG_K12(b *testing.B) { benchE14WarmLPRG(b, 12) }
+func BenchmarkE14_WarmLPRG_K20(b *testing.B) { benchE14WarmLPRG(b, 20) }
+func BenchmarkE14_WarmLPRG_K30(b *testing.B) { benchE14WarmLPRG(b, 30) }
+func BenchmarkE14_WarmLPRG_K50(b *testing.B) { benchE14WarmLPRG(b, 50) }
 
 // benchE15Session builds one warm scheduling-service session on the
 // E15 network-bound platform plus its 256-query batch (64 distinct

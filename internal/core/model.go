@@ -69,15 +69,7 @@ type Model struct {
 // bounds leave the relaxation exactly equivalent to MixedRelaxed with
 // no bounds.
 func (pr *Problem) NewModel(obj Objective) (*Model, error) {
-	return pr.newModel(obj, false, lp.LUEtaRep)
-}
-
-// NewModelRep is NewModel over an explicit lp basis representation —
-// the hook the E13 sweep and benchmarks use to drive the same warm
-// epoch loop through the sparse LU/eta factorization (the default)
-// and the dense explicit inverse (the PR 3 baseline).
-func (pr *Problem) NewModelRep(obj Objective, rep lp.BasisRep) (*Model, error) {
-	return pr.newModel(obj, false, rep)
+	return pr.newModel(obj, false)
 }
 
 // NewModelRowBounds builds the same relaxation with the historical
@@ -88,10 +80,10 @@ func (pr *Problem) NewModelRep(obj Objective, rep lp.BasisRep) (*Model, error) {
 // measures what retiring the rows buys — and should not be used by
 // new callers.
 func (pr *Problem) NewModelRowBounds(obj Objective) (*Model, error) {
-	return pr.newModel(obj, true, lp.LUEtaRep)
+	return pr.newModel(obj, true)
 }
 
-func (pr *Problem) newModel(obj Objective, rowBounds bool, rep lp.BasisRep) (*Model, error) {
+func (pr *Problem) newModel(obj Objective, rowBounds bool) (*Model, error) {
 	if err := pr.Validate(); err != nil {
 		return nil, err
 	}
@@ -266,14 +258,14 @@ func (pr *Problem) newModel(obj Objective, rowBounds bool, rep lp.BasisRep) (*Mo
 		}
 	}
 
-	m.rev = lp.NewRevisedRep(prob, rep)
+	m.rev = lp.NewRevised(prob)
 	return m, nil
 }
 
 // SolverStats returns the lp solver's accumulated activity counters
 // (pivots, refactorizations, bound flips, warm/cold solve mix) for
 // this model's persistent revised-simplex instance — the per-solve
-// cost drivers the E11/E12/E13 sweeps report.
+// cost drivers the E11/E12 sweeps report.
 func (m *Model) SolverStats() lp.Stats { return m.rev.Stats() }
 
 // ResetSolverStats zeroes the counters SolverStats reports.

@@ -99,6 +99,11 @@ func (m AdaptiveMode) MarshalJSON() ([]byte, error) { return json.Marshal(m.Stri
 
 const saltAdaptive = 4
 
+// saltLU is the platform stream of the retired E13/E14 representation
+// sweeps, kept because the E14 refactorization guard replays exactly
+// that instance set against the bound BENCH_E13.json measured.
+const saltLU = 7
+
 // adaptiveProblem draws a network-bound platform (tight budgets and
 // bandwidths, non-uniform payoffs) — the regime where per-epoch
 // re-optimization actually re-routes connections and the LP work

@@ -25,10 +25,9 @@ type Basis struct {
 // none). It exists for serialization — the scheduling cluster ships
 // (platform, committed state, basis) snapshots between replicas so a
 // session rebuilt elsewhere restarts warm instead of cold-solving —
-// and is representation-independent, like the Basis itself: a basis
-// exported from a Forrest–Tomlin instance warm-starts an eta-file or
-// dense-inverse rebuild. The returned slices are fresh copies; the
-// Basis stays immutable.
+// and records no factorization, only what a rebuilt instance needs to
+// refactorize the same basis. The returned slices are fresh copies;
+// the Basis stays immutable.
 func (b *Basis) Export() (cols []int, upper []bool) {
 	cols = append([]int(nil), b.cols...)
 	if b.upper != nil {

@@ -73,7 +73,7 @@ func (r *Revised) PrimeWarm() {
 // from a snapshot agree on everything discrete — matrix, rhs, bounds,
 // basis — yet solve from different internal state: the live one
 // carries the data-dependent sign normalization its first cold solve
-// chose, an accumulated (Forrest–Tomlin updated) factorization of
+// chose, an accumulated (eta-file updated) factorization of
 // possibly *another* basis it would rather continue from, and evolved
 // pricing weights; the rebuilt one runs on PrimeWarm's identity signs
 // and a fresh refactorization. Both states are correct, but on a
@@ -120,21 +120,13 @@ func (r *Revised) SolveEphemeral(bas *Basis) (Solution, error) {
 // a few multiples of the basis dimension m plus a term proportional
 // to the constraint nonzeros (denser matrices move less infeasibility
 // per pivot), floored so tiny problems keep headroom for degenerate
-// shuffling. The budget is representation-aware: under Forrest–Tomlin
-// updates a late warm pivot costs about the same as an early one
-// (solve cost no longer degrades with eta-file length), so persisting
-// through another couple of basis sweeps beats abandoning — the
-// 4·m multiplier was calibrated against eta-file pivot cost and is
-// raised to 6·m for the FT representation.
+// shuffling. The 4·m multiplier is calibrated against eta-file pivot
+// cost, which grows with the file's length between refactorizations.
 func (r *Revised) warmPivotBudget() int {
 	if r.budgetOverride > 0 {
 		return r.budgetOverride
 	}
-	mMult := 4
-	if _, ft := r.fac.(*ftFactor); ft {
-		mMult = 6
-	}
-	return mMult*r.m + len(r.sp.val)/2 + 256
+	return 4*r.m + len(r.sp.val)/2 + 256
 }
 
 // WarmPivotBudget reports the pivot budget a warm restart on this

@@ -29,37 +29,24 @@
 //
 // # Factorized basis
 //
-// The revised simplex never forms the basis inverse explicitly.
-// Its FTRAN/BTRAN operations go through a pluggable basisFactor
-// (factor.go) selected by BasisRep:
+// The revised simplex never forms the basis inverse explicitly. Its
+// FTRAN/BTRAN operations go through one representation (lu.go): a
+// sparse LU factorization computed by Markowitz-style threshold
+// pivoting over the CSC columns (row/column singletons — the ±e_i
+// slack and artificial columns that dominate these bases — peel off
+// as fill-free O(1) pivots), maintained across pivots by a
+// product-form eta file. The file is rebuilt into a fresh
+// factorization when it grows past a length or density budget or an
+// update pivot looks numerically unsafe. Forks share a frozen clean-LU
+// snapshot of the parent's basis and append only to private eta
+// files.
 //
-//   - ForrestTomlinRep (ft.go), the default: the same Markowitz-style
-//     sparse LU base factorization as LUEtaRep (below), but a pivot
-//     updates the U factor itself instead of appending to an eta
-//     file. The Forrest–Tomlin update splices the leaving column out
-//     of U, inserts the FTRAN'd entering column as a spike, restores
-//     triangularity with a cyclic permutation of the elimination
-//     order, and repairs the spiked row with one short row eta — all
-//     sparse operations, so U stays sparse and triangular and
-//     FTRAN/BTRAN cost does not degrade with the number of updates.
-//     Refactorization triggers on U fill growth past a multiple of
-//     the fresh factorization's nonzeros, on an update-count cap, or
-//     on numerical drift (the update's recurrence diagonal is checked
-//     against the exact determinant identity u'_tt = u_tt·d_p and the
-//     update refused when they disagree).
-//   - LUEtaRep (lu.go): the same LU base, computed by Markowitz-style
-//     threshold pivoting over the CSC columns (row/column singletons
-//     — the ±e_i slack and artificial columns that dominate these
-//     bases — peel off as fill-free O(1) pivots), but pivots append
-//     to an eta file in product form instead of touching L/U, which
-//     forces a rebuild every few dozen updates. Superseded as the
-//     default by ForrestTomlinRep; kept as a cross-checked reference
-//     and the E13/E14 baseline.
-//   - DenseInverseRep (factor.go): the historical explicit dense
-//     inverse with O(m²) product-form updates, kept as the numerical
-//     reference; property tests pin all three representations to
-//     equal optima at 1e-9 across cold solves, warm restarts and
-//     RHS/bound mutation sequences.
+// The basisFactor interface (factor.go) is the seam tests use to
+// substitute the explicit dense inverse with O(m²) product-form
+// updates. That oracle lives in the test files only; property tests
+// pin the LU to it at 1e-9 across cold solves, warm restarts,
+// RHS/bound mutation sequences and basis snapshots handed between the
+// two.
 //
 // Pricing: the primal simplex prices entering columns with devex
 // (reference-framework weights approximating steepest edge, columns
@@ -75,9 +62,8 @@
 // aggregated FTRAN, which passes degenerate vertices without pivots.
 // The automatic switch to Bland's anti-cycling rule on objective
 // stalls is retained from the Dantzig era. Revised.Stats exposes
-// pivot, bound-flip, refactorization, Forrest–Tomlin update/fill,
-// steepest-edge reset and warm/cold solve counters for the
-// experiment harness.
+// pivot, bound-flip, refactorization, steepest-edge reset and
+// warm/cold solve counters for the experiment harness.
 //
 // Both backends honor variable bounds natively in the simplex itself
 // — the bounded-variable method, not bound rows: lower bounds are
@@ -108,16 +94,15 @@
 // at-upper-bound statuses) and typically finishes in a handful of
 // pivots instead of a full phase-1/phase-2 pass. Branching bounds
 // and route pins in the layers above are therefore native bound
-// mutations, never added or dedicated rows. A Basis snapshot is
-// representation-independent: it records the basic column set and
-// the at-upper statuses, not the factorization, so it round-trips
-// between ForrestTomlinRep, LUEtaRep and DenseInverseRep instances.
-// SolveFrom falls
-// back to a cold solve whenever the supplied basis is unusable
-// (singular, stale, or numerically degraded) or the dual restart
-// stops making progress within a pivot budget proportional to the
-// instance size and nonzeros, so warm starts are strictly an
-// optimization, never a correctness risk.
+// mutations, never added or dedicated rows. A Basis snapshot records
+// the basic column set and the at-upper statuses, not the
+// factorization, so any instance over the same constraint structure
+// can refactorize and restart from it. SolveFrom falls back to a cold
+// solve whenever the supplied basis is unusable (singular, stale, or
+// numerically degraded) or the dual restart stops making progress
+// within a pivot budget proportional to the instance size and
+// nonzeros, so warm starts are strictly an optimization, never a
+// correctness risk.
 //
 // # Factorization vs. solve context
 //

@@ -127,35 +127,8 @@ const (
 )
 
 func newLUFactor(r *Revised) *luFactor {
-	f := &luFactor{}
-	f.init(r)
-	return f
-}
-
-// newBorrowedLUFactor returns an eta-file factor whose committed
-// arrays alias an immutable frozen snapshot: the fork starts from the
-// parent's clean LU without refactorizing. The borrowed flag defers
-// any write to those arrays — updates append only to the fork's
-// private eta file, and the first commit (triggered by a refactor)
-// allocates fresh storage.
-func newBorrowedLUFactor(r *Revised, fz *frozenLU) *luFactor {
-	f := newLUFactor(r)
-	f.rowOfPos = fz.rowOfPos
-	f.colOfPos = fz.colOfPos
-	f.uDiag = fz.uDiag
-	f.lPtr, f.lIdx, f.lVal = fz.lPtr, fz.lIdx, fz.lVal
-	f.uPtr, f.uIdx, f.uVal = fz.uPtr, fz.uIdx, fz.uVal
-	f.luNNZ = fz.luNNZ
-	f.borrowed = true
-	return f
-}
-
-// init sizes the factor for r's basis dimension; shared with the
-// Forrest–Tomlin representation, which embeds luFactor for the base
-// Markowitz factorization and replaces only the update machinery.
-func (f *luFactor) init(r *Revised) {
 	m := r.m
-	f.r, f.m = r, m
+	f := &luFactor{r: r, m: m}
 	f.rowOfPos = make([]int32, m)
 	f.colOfPos = make([]int32, m)
 	f.uDiag = make([]float64, m)
@@ -179,6 +152,25 @@ func (f *luFactor) init(r *Revised) {
 	f.uRowVal = make([][]float64, m)
 	f.mark = make([]int32, m)
 	f.markAt = make([]int32, m)
+	return f
+}
+
+// newBorrowedLUFactor returns an eta-file factor whose committed
+// arrays alias an immutable frozen snapshot: the fork starts from the
+// parent's clean LU without refactorizing. The borrowed flag defers
+// any write to those arrays — updates append only to the fork's
+// private eta file, and the first commit (triggered by a refactor)
+// allocates fresh storage.
+func newBorrowedLUFactor(r *Revised, fz *frozenLU) *luFactor {
+	f := newLUFactor(r)
+	f.rowOfPos = fz.rowOfPos
+	f.colOfPos = fz.colOfPos
+	f.uDiag = fz.uDiag
+	f.lPtr, f.lIdx, f.lVal = fz.lPtr, fz.lIdx, fz.lVal
+	f.uPtr, f.uIdx, f.uVal = fz.uPtr, fz.uIdx, fz.uVal
+	f.luNNZ = fz.luNNZ
+	f.borrowed = true
+	return f
 }
 
 // refactor computes a fresh LU factorization of the current basis and

@@ -75,7 +75,7 @@ func TestLUFactorSolvesRandom(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(7000 + seed))
 		p := randomBoundedProblem(rng, seed%2 == 0)
-		r := NewRevisedRep(p, LUEtaRep)
+		r := NewRevised(p)
 		sol, bas, err := r.SolveFrom(nil)
 		if err != nil {
 			t.Fatalf("seed %d: cold solve: %v", seed, err)
@@ -147,11 +147,11 @@ func TestLUMatchesDenseInverseCold(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		rng := rand.New(rand.NewSource(8000 + seed))
 		p := randomBoundedProblem(rng, seed%2 == 0)
-		lu, _, err := NewRevisedRep(p, LUEtaRep).SolveFrom(nil)
+		lu, _, err := NewRevised(p).SolveFrom(nil)
 		if err != nil {
 			t.Fatalf("seed %d: LU: %v", seed, err)
 		}
-		di, _, err := NewRevisedRep(p, DenseInverseRep).SolveFrom(nil)
+		di, _, err := newDenseRevised(p).SolveFrom(nil)
 		if err != nil {
 			t.Fatalf("seed %d: dense inverse: %v", seed, err)
 		}
@@ -169,8 +169,8 @@ func TestLUMatchesDenseInverseWarmMutations(t *testing.T) {
 	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(9000 + seed))
 		p := randomBoundedProblem(rng, seed%2 == 0)
-		rLU := NewRevisedRep(p, LUEtaRep)
-		rDI := NewRevisedRep(p, DenseInverseRep)
+		rLU := NewRevised(p)
+		rDI := newDenseRevised(p)
 		lu, basLU, err := rLU.SolveFrom(nil)
 		if err != nil {
 			t.Fatalf("seed %d: LU cold: %v", seed, err)
@@ -237,15 +237,9 @@ func TestWarmPivotBudgetScales(t *testing.T) {
 			tallB, rTall.m, small, rSmall.m)
 	}
 	// And the budget is what the dual simplex actually runs under: a
-	// fresh instance (Forrest–Tomlin default, 6·m multiplier) must
-	// report it consistently with its inputs.
-	if want := 6*rTall.m + len(rTall.sp.val)/2 + 256; tallB != want {
+	// fresh instance must report it consistently with its inputs.
+	if want := 4*rTall.m + len(rTall.sp.val)/2 + 256; tallB != want {
 		t.Fatalf("budget %d does not track size/nonzeros (want %d)", tallB, want)
-	}
-	// The budget is representation-aware: eta-file pivots degrade with
-	// update count, so that representation gives up sooner.
-	if etaB := NewRevisedRep(tall, LUEtaRep).warmPivotBudget(); etaB >= tallB {
-		t.Fatalf("eta-file budget %d must be below the FT budget %d", etaB, tallB)
 	}
 	// budgetOverride is the test hook that forces the fallback path.
 	rTall.budgetOverride = 3
@@ -255,8 +249,9 @@ func TestWarmPivotBudgetScales(t *testing.T) {
 }
 
 // TestLUStatsCounters sanity-checks the Stats surface: a cold solve
-// counts as such, warm restarts and refactorizations register, and
-// ResetStats zeroes everything.
+// counts as such, warm restarts and refactorizations register,
+// ResetStats zeroes everything, and steepest-edge weight resets
+// register whenever the dual runs.
 func TestLUStatsCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	p := randomBoundedProblem(rng, false)
@@ -283,5 +278,166 @@ func TestLUStatsCounters(t *testing.T) {
 	r.ResetStats()
 	if r.Stats() != (Stats{}) {
 		t.Fatalf("ResetStats left %+v", r.Stats())
+	}
+
+	// Steepest-edge weights must be initialized whenever the dual runs,
+	// and Stats.Add sums that counter.
+	sawDual := false
+	for seed := 0; seed < 20; seed++ {
+		p := randomBoundedProblem(rng, seed%2 == 0)
+		r := NewRevised(p)
+		_, bas, err := r.SolveFrom(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 3; step++ {
+			mutateProblem(rng, p)
+			if _, bas, err = r.SolveFrom(bas); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := r.Stats(); st.DualPivots > 0 {
+			sawDual = true
+			if st.DSEWeightResets == 0 {
+				t.Fatalf("seed %d: dual ran (%d pivots) but weights were never initialized", seed, st.DualPivots)
+			}
+		}
+	}
+	if !sawDual {
+		t.Fatal("no solve exercised the dual simplex")
+	}
+	var sum Stats
+	sum.Add(Stats{DSEWeightResets: 1})
+	sum.Add(Stats{DSEWeightResets: 2})
+	if sum.DSEWeightResets != 3 {
+		t.Fatalf("Stats.Add mishandled DSEWeightResets: %+v", sum)
+	}
+}
+
+// TestBasisRoundTripsAllReps rotates one mutation sequence's basis
+// snapshots through three instances — two eta-file LUs and the dense
+// inverse oracle — so every warm restart installs a snapshot another
+// instance produced, and requires all three to agree with the oracle
+// at every step.
+func TestBasisRoundTripsAllReps(t *testing.T) {
+	reps := []struct {
+		name string
+		mk   func(*Problem) *Revised
+	}{{"eta", NewRevised}, {"dense", newDenseRevised}, {"eta2", NewRevised}}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(21000 + seed))
+		p := randomBoundedProblem(rng, seed%2 == 0)
+		rs := make([]*Revised, len(reps))
+		bases := make([]*Basis, len(reps))
+		sols := make([]Solution, len(reps))
+		for k, rep := range reps {
+			rs[k] = rep.mk(p)
+			var err error
+			sols[k], bases[k], err = rs[k].SolveFrom(nil)
+			if err != nil {
+				t.Fatalf("seed %d: %s cold: %v", seed, rep.name, err)
+			}
+		}
+		agreeStatus(t, sols[0], sols[1], seed, -1)
+		agreeStatus(t, sols[2], sols[1], seed, -1)
+		for step := 0; step < 6; step++ {
+			mutateProblem(rng, p)
+			// Each instance restarts from the snapshot its neighbor
+			// produced last step.
+			prev := []*Basis{bases[1], bases[2], bases[0]}
+			for k, rep := range reps {
+				var err error
+				sols[k], bases[k], err = rs[k].SolveFrom(prev[k])
+				if err != nil {
+					t.Fatalf("seed %d step %d: %s warm: %v", seed, step, rep.name, err)
+				}
+			}
+			agreeStatus(t, sols[0], sols[1], seed, step)
+			agreeStatus(t, sols[2], sols[1], seed, step)
+		}
+	}
+}
+
+// TestFTPricingVariantsAgree pins that the pricing/ratio-test options
+// of the eta-file LU instance are pure performance knobs: exact steepest edge with bound-flipping,
+// steepest edge alone, and the devex fallback must reach the same
+// verdicts and optima across a warm mutation sequence.
+func TestFTPricingVariantsAgree(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(25000 + seed))
+		p := randomBoundedProblem(rng, seed%2 == 0)
+		mk := func(dse, bfrt bool) *Revised {
+			r := NewRevised(p)
+			r.useDSE, r.bfrt = dse, bfrt
+			return r
+		}
+		rs := []*Revised{mk(true, true), mk(true, false), mk(false, false)}
+		bases := make([]*Basis, len(rs))
+		sols := make([]Solution, len(rs))
+		for k, r := range rs {
+			var err error
+			sols[k], bases[k], err = r.SolveFrom(nil)
+			if err != nil {
+				t.Fatalf("seed %d variant %d: cold: %v", seed, k, err)
+			}
+		}
+		agreeStatus(t, sols[1], sols[0], seed, -1)
+		agreeStatus(t, sols[2], sols[0], seed, -1)
+		for step := 0; step < 6; step++ {
+			mutateProblem(rng, p)
+			for k, r := range rs {
+				var err error
+				sols[k], bases[k], err = r.SolveFrom(bases[k])
+				if err != nil {
+					t.Fatalf("seed %d variant %d step %d: warm: %v", seed, k, step, err)
+				}
+			}
+			agreeStatus(t, sols[1], sols[0], seed, step)
+			agreeStatus(t, sols[2], sols[0], seed, step)
+		}
+	}
+}
+
+// TestStaleBasisDegradesToColdFallback pins the warm-restart safety
+// contract under the recalibrated budget: when the pivot budget is
+// forced so low that no dual restart can finish, every solve must
+// degrade into the cold fallback — counted as such — and still return
+// the same answer the dense reference produces. A stale basis may
+// cost time, never correctness.
+func TestStaleBasisDegradesToColdFallback(t *testing.T) {
+	fallbacks := 0
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(27000 + seed))
+		p := randomBoundedProblem(rng, true)
+		r := NewRevised(p)
+		r.budgetOverride = 1 // no useful dual restart fits in one pivot
+		sol, bas, err := r.SolveFrom(nil)
+		if err != nil {
+			t.Fatalf("seed %d: cold: %v", seed, err)
+		}
+		for step := 0; step < 5; step++ {
+			// Large mutations guarantee real dual work, so the budget of
+			// one pivot cannot complete a restart that needs any.
+			for i := range p.rows {
+				p.SetRHS(i, p.rows[i].rhs+rng.NormFloat64()*20)
+			}
+			sol, bas, err = r.SolveFrom(bas)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			di, _, err := newDenseRevised(p).SolveFrom(nil)
+			if err != nil {
+				t.Fatalf("seed %d step %d: dense: %v", seed, step, err)
+			}
+			agreeStatus(t, sol, di, seed, step)
+		}
+		fallbacks += r.Stats().ColdFallbacks
+	}
+	// A mutation that happens to leave the basis primal feasible needs
+	// no dual pivot and legitimately avoids the fallback; across 40
+	// seeds of ±20 RHS shocks, restarts that DO need work must have
+	// tripped the one-pivot budget into the cold path many times.
+	if fallbacks < 20 {
+		t.Fatalf("budget of 1 pivot produced only %d cold fallbacks across all seeds", fallbacks)
 	}
 }

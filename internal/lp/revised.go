@@ -23,13 +23,11 @@ import "math"
 // callers mutate), the basis and its factorization, bound state,
 // pricing weights, statistics, and every scratch vector.
 //
-// The basis representation is pluggable (BasisRep): the default is a
-// sparse LU factorization maintained across pivots by Forrest–Tomlin
-// updates (ft.go); the product-form eta file (lu.go) and the
-// historical explicit dense inverse (DenseInverseRep, factor.go) are
-// retained as numerical references. The Basis snapshots returned to
-// callers are representation-independent — a basis produced under one
-// representation warm-starts an instance using another.
+// The basis is factorized as a sparse LU maintained across pivots by
+// a product-form eta file (luFactor, lu.go); tests substitute the
+// explicit dense inverse as the reference it is checked against. The
+// Basis snapshots returned to callers record only the basic column
+// set and at-upper statuses, never the factorization.
 //
 // Pricing is devex (reference-framework weights, Harris-style
 // approximation of steepest edge) in both the primal and the dual
@@ -156,7 +154,7 @@ const infeasTol = 1e-7
 
 // Stats aggregates solver activity over the lifetime of a Revised
 // instance (or since the last ResetStats): the per-solve cost drivers
-// the E11/E12/E13 sweeps report alongside their wall-clock numbers.
+// the E11/E12 sweeps report alongside their wall-clock numbers.
 type Stats struct {
 	// Pivots counts every simplex basis change (primal + dual + basis
 	// repair); PrimalPivots/DualPivots break out the two methods.
@@ -175,15 +173,6 @@ type Stats struct {
 	ColdSolves    int `json:"coldSolves"`
 	WarmSolves    int `json:"warmSolves"`
 	ColdFallbacks int `json:"coldFallbacks"`
-	// FTUpdates counts Forrest–Tomlin basis updates absorbed without a
-	// rebuild; FTUpdates/Refactorizations is the update-vs-refactor
-	// ratio the representation is tuned around.
-	FTUpdates int `json:"ftUpdates"`
-	// UFillGrowth is the peak ratio of U's nonzeros to the fresh
-	// factorization's since stats were reset — how far Forrest–Tomlin
-	// spikes densified U before a refactorization caught it (Add keeps
-	// the max, not a sum).
-	UFillGrowth float64 `json:"uFillGrowth"`
 	// DSEWeightResets counts dual steepest-edge weight rebuilds from
 	// unit values: the first dual run after anything that moved the
 	// basis outside the dual's own recurrence, plus the rare
@@ -195,7 +184,7 @@ type Stats struct {
 	// scheduling service's batched what-if engine): the widest
 	// concurrent fork pool, the number of batch rounds, and the
 	// largest batch answered. Add keeps the max for PeakForks and
-	// BatchMaxSize (like UFillGrowth) and sums the other two.
+	// BatchMaxSize and sums the other two.
 	Forks        int `json:"forks"`
 	PeakForks    int `json:"peakForks"`
 	Batches      int `json:"batches"`
@@ -258,10 +247,6 @@ func (s *Stats) Add(other Stats) {
 	s.ColdSolves += other.ColdSolves
 	s.WarmSolves += other.WarmSolves
 	s.ColdFallbacks += other.ColdFallbacks
-	s.FTUpdates += other.FTUpdates
-	if other.UFillGrowth > s.UFillGrowth {
-		s.UFillGrowth = other.UFillGrowth
-	}
 	s.DSEWeightResets += other.DSEWeightResets
 	s.Forks += other.Forks
 	if other.PeakForks > s.PeakForks {
@@ -286,17 +271,11 @@ func (r *Revised) ResetStats() { r.stats = Stats{} }
 func (r *Revised) AbsorbStats(other Stats) { r.stats.Add(other) }
 
 // NewRevised builds a revised-simplex instance over p's current
-// constraint rows with the default (sparse LU + Forrest–Tomlin
-// updates) basis representation. The instance assumes the row
-// structure is frozen; solving after rows were added panics.
-func NewRevised(p *Problem) *Revised { return NewRevisedRep(p, ForrestTomlinRep) }
-
-// NewRevisedRep is NewRevised with an explicit basis representation —
-// the hook the property tests and the E13/E14 before/after benchmarks
-// use to run the same solves through the Forrest–Tomlin factorization,
-// the product-form eta file and the dense explicit inverse.
-func NewRevisedRep(p *Problem, rep BasisRep) *Revised {
-	r := &Revised{Factorization: newFactorization(p, rep), p: p}
+// constraint rows, with the basis factorized as a sparse LU plus eta
+// file. The instance assumes the row structure is frozen; solving
+// after rows were added panics.
+func NewRevised(p *Problem) *Revised {
+	r := &Revised{Factorization: newFactorization(p), p: p}
 	r.sign = make([]float64, r.m)
 	r.b = make([]float64, r.m)
 	r.xb = make([]float64, r.m)
@@ -308,14 +287,7 @@ func NewRevisedRep(p *Problem, rep BasisRep) *Revised {
 	for j := range r.U {
 		r.U[j] = math.Inf(1)
 	}
-	switch rep {
-	case DenseInverseRep:
-		r.fac = newDenseFactor(r)
-	case LUEtaRep:
-		r.fac = newLUFactor(r)
-	default:
-		r.fac = newFTFactor(r)
-	}
+	r.fac = newLUFactor(r)
 	r.dwCol = make([]float64, r.ncols)
 	r.dwRow = make([]float64, r.m)
 	r.dseW = make([]float64, r.m)
@@ -328,7 +300,7 @@ func NewRevisedRep(p *Problem, rep BasisRep) *Revised {
 
 // allocScratch sizes the per-context scratch buffers — everything a
 // solve writes to besides the basis state itself. Shared by
-// NewRevisedRep and Fork so a forked context never aliases writable
+// NewRevised and Fork so a forked context never aliases writable
 // memory of its parent.
 func (r *Revised) allocScratch() {
 	r.ys = make([]float64, r.m)

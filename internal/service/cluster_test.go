@@ -40,7 +40,7 @@ func identityFactors(n int) []float64 {
 	return out
 }
 
-func driftFactors(n int, f float64) []float64 {
+func uniformFactors(n int, f float64) []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = f
@@ -68,9 +68,9 @@ func TestSessionSnapshotRestoreWarm(t *testing.T) {
 		K, L := s.pl.K(), len(s.pl.Links)
 		for i := 0; i < 2; i++ {
 			if _, err := s.Epoch(&EpochRequest{
-				SpeedFactor:   driftFactors(K, 0.93),
-				GatewayFactor: driftFactors(K, 1.04),
-				LinkFactor:    driftFactors(L, 0.97),
+				SpeedFactor:   uniformFactors(K, 0.93),
+				GatewayFactor: uniformFactors(K, 1.04),
+				LinkFactor:    uniformFactors(L, 0.97),
 			}); err != nil {
 				t.Fatalf("%s: epoch: %v", heur, err)
 			}
@@ -212,9 +212,9 @@ func TestAnswerCacheInvalidationOnEpoch(t *testing.T) {
 	// Commit real drift.
 	var erep SolveReport
 	doJSON(t, ts.Client(), "POST", base+"/epoch", &EpochRequest{
-		SpeedFactor:   driftFactors(K, 0.8),
-		GatewayFactor: driftFactors(K, 0.9),
-		LinkFactor:    driftFactors(L, 0.85),
+		SpeedFactor:   uniformFactors(K, 0.8),
+		GatewayFactor: uniformFactors(K, 0.9),
+		LinkFactor:    uniformFactors(L, 0.85),
 	}, &erep, http.StatusOK)
 
 	// The committed query answer is cached by the commit itself — but
@@ -437,8 +437,8 @@ func TestRingMembershipChangeMigratesWarm(t *testing.T) {
 		// Commit drift so migrated state is non-trivial.
 		var erep SolveReport
 		if err := doJSONE(client, "POST", servers[0].URL+"/sessions/"+resp.ID+"/epoch", &EpochRequest{
-			SpeedFactor:   driftFactors(resp.K, 0.9),
-			GatewayFactor: driftFactors(resp.K, 1.05),
+			SpeedFactor:   uniformFactors(resp.K, 0.9),
+			GatewayFactor: uniformFactors(resp.K, 1.05),
 		}, &erep); err != nil {
 			t.Fatal(err)
 		}
@@ -529,9 +529,9 @@ func TestNodeRecoverFromStore(t *testing.T) {
 	}
 	K, L := pl.K(), len(pl.Links)
 	if _, err := sess.Epoch(&EpochRequest{
-		SpeedFactor:   driftFactors(K, 0.88),
-		GatewayFactor: driftFactors(K, 1.07),
-		LinkFactor:    driftFactors(L, 0.95),
+		SpeedFactor:   uniformFactors(K, 0.88),
+		GatewayFactor: uniformFactors(K, 1.07),
+		LinkFactor:    uniformFactors(L, 0.95),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -169,7 +169,7 @@ func TestCachedHitBytesMatchReflectiveEncode(t *testing.T) {
 func TestCommitDropsEncodedBytes(t *testing.T) {
 	h, sess := newHandlerSession(t, 6, 303)
 	queryPath := "/sessions/" + sess.id + "/query"
-	epochBody := mustJSON(&EpochRequest{SpeedFactor: driftFactors(6, 0.97)})
+	epochBody := mustJSON(&EpochRequest{SpeedFactor: uniformFactors(6, 0.97)})
 
 	stop := make(chan struct{})
 	readerErr := make(chan string, 1)

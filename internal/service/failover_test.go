@@ -115,7 +115,7 @@ func TestReplicationFanOut(t *testing.T) {
 
 	var erep SolveReport
 	doJSON(t, client, "POST", servers[0].URL+"/sessions/"+resp.ID+"/epoch", &EpochRequest{
-		SpeedFactor: driftFactors(resp.K, 0.9),
+		SpeedFactor: uniformFactors(resp.K, 0.9),
 	}, &erep, http.StatusOK)
 	rep = nodes[successor].getReplica(resp.ID)
 	if rep == nil || rep.snap.Epoch != 1 {
@@ -141,8 +141,8 @@ func TestReadFailoverPromotesReplica(t *testing.T) {
 	// Commit drift, record the committed answer.
 	var erep SolveReport
 	doJSON(t, client, "POST", servers[0].URL+"/sessions/"+resp.ID+"/epoch", &EpochRequest{
-		SpeedFactor:   driftFactors(resp.K, 0.93),
-		GatewayFactor: driftFactors(resp.K, 1.05),
+		SpeedFactor:   uniformFactors(resp.K, 0.93),
+		GatewayFactor: uniformFactors(resp.K, 1.05),
 	}, &erep, http.StatusOK)
 	_, preRaw, err := doJSONRaw(client, "POST", servers[owner].URL+"/sessions/"+resp.ID+"/query", nil)
 	if err != nil {
@@ -218,7 +218,7 @@ func TestPromotionConsumesReplicaAndPrefersStore(t *testing.T) {
 
 	// Commit drift twice; the session hook persists epoch 2 to the store.
 	for i := 0; i < 2; i++ {
-		if _, err := sess.Epoch(&EpochRequest{SpeedFactor: driftFactors(pl.K(), 0.95)}); err != nil {
+		if _, err := sess.Epoch(&EpochRequest{SpeedFactor: uniformFactors(pl.K(), 0.95)}); err != nil {
 			t.Fatalf("epoch %d: %v", i+1, err)
 		}
 	}
@@ -320,7 +320,7 @@ func TestOwnerDeathPromotionAndCommit(t *testing.T) {
 	owner, _ := ringOwnerOf(t, nodes, resp.ID)
 	var erep SolveReport
 	doJSON(t, client, "POST", servers[0].URL+"/sessions/"+resp.ID+"/epoch", &EpochRequest{
-		SpeedFactor: driftFactors(resp.K, 0.9),
+		SpeedFactor: uniformFactors(resp.K, 0.9),
 	}, &erep, http.StatusOK)
 
 	nodes[owner].Stop()
@@ -332,7 +332,7 @@ func TestOwnerDeathPromotionAndCommit(t *testing.T) {
 	surv := (owner + 1) % 3
 	var erep2 SolveReport
 	doJSON(t, servers[surv].Client(), "POST", servers[surv].URL+"/sessions/"+resp.ID+"/epoch", &EpochRequest{
-		GatewayFactor: driftFactors(resp.K, 1.1),
+		GatewayFactor: uniformFactors(resp.K, 1.1),
 	}, &erep2, http.StatusOK)
 	if erep2.Epoch != 2 {
 		t.Fatalf("post-kill commit epoch = %d, want 2", erep2.Epoch)
@@ -433,7 +433,7 @@ func TestQuorumFencesCommits(t *testing.T) {
 		t.Fatal("quorum should be lost")
 	}
 
-	epoch, _ := json.Marshal(&EpochRequest{SpeedFactor: driftFactors(created.K, 0.9)})
+	epoch, _ := json.Marshal(&EpochRequest{SpeedFactor: uniformFactors(created.K, 0.9)})
 	ereq, _ := http.NewRequest("POST", srv.URL+"/sessions/"+created.ID+"/epoch", bytes.NewReader(epoch))
 	ereq.Header.Set("Content-Type", "application/json")
 	ereq.Header.Set(forwardedHeader, "test")
@@ -490,7 +490,7 @@ func TestReplicateHandlerFencing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Epoch(&EpochRequest{SpeedFactor: driftFactors(pl.K(), 0.95)}); err != nil {
+	if _, err := sess.Epoch(&EpochRequest{SpeedFactor: uniformFactors(pl.K(), 0.95)}); err != nil {
 		t.Fatal(err)
 	}
 	snap1, err := sess.Snapshot()
@@ -501,7 +501,7 @@ func TestReplicateHandlerFencing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Epoch(&EpochRequest{SpeedFactor: driftFactors(pl.K(), 0.9)}); err != nil {
+	if _, err := sess.Epoch(&EpochRequest{SpeedFactor: uniformFactors(pl.K(), 0.9)}); err != nil {
 		t.Fatal(err)
 	}
 	snap2, err := sess.Snapshot()
@@ -571,7 +571,7 @@ func TestOutOfOrderFanoutIsSuperseded(t *testing.T) {
 	commit := func() {
 		t.Helper()
 		doJSON(t, client, "POST", servers[0].URL+"/sessions/"+resp.ID+"/epoch",
-			&EpochRequest{SpeedFactor: driftFactors(resp.K, 0.97)}, nil, http.StatusOK)
+			&EpochRequest{SpeedFactor: uniformFactors(resp.K, 0.97)}, nil, http.StatusOK)
 	}
 	lagCondition := func() Condition {
 		t.Helper()
@@ -639,7 +639,7 @@ func TestConcurrentReplicateAndCommit(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < commits; i++ {
 			status, body, err := doJSONRaw(client, "POST", servers[0].URL+"/sessions/"+resp.ID+"/epoch",
-				&EpochRequest{SpeedFactor: driftFactors(resp.K, 0.99)})
+				&EpochRequest{SpeedFactor: uniformFactors(resp.K, 0.99)})
 			if err != nil || status != http.StatusOK {
 				errs <- fmt.Errorf("commit %d: status %d err %v body %s", i, status, err, body)
 				return
@@ -699,7 +699,7 @@ func TestCommitIdempotency(t *testing.T) {
 	pl := testPlatform(t, 6, 207)
 	resp := ringCreate(t, client, srv.URL, &CreateSessionRequest{Platform: platformJSON(t, pl)})
 	commit := func(cid string) (int, []byte) {
-		body, _ := json.Marshal(&EpochRequest{SpeedFactor: driftFactors(resp.K, 0.9)})
+		body, _ := json.Marshal(&EpochRequest{SpeedFactor: uniformFactors(resp.K, 0.9)})
 		req, _ := http.NewRequest("POST", srv.URL+"/sessions/"+resp.ID+"/epoch", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set(commitIDHeader, cid)
@@ -756,11 +756,11 @@ func TestCommitIdempotency(t *testing.T) {
 	if err != nil || !warm {
 		t.Fatalf("restore: warm=%v err=%v", warm, err)
 	}
-	rrep, err := restored.EpochIdempotent(&EpochRequest{SpeedFactor: driftFactors(resp.K, 0.9)}, "commit-B")
+	rrep, err := restored.EpochIdempotent(&EpochRequest{SpeedFactor: uniformFactors(resp.K, 0.9)}, "commit-B")
 	if err != nil || rrep.Epoch != 2 {
 		t.Fatalf("restored retry: %+v err %v", rrep, err)
 	}
-	arep, err := restored.EpochIdempotent(&EpochRequest{SpeedFactor: driftFactors(resp.K, 0.9)}, "commit-A")
+	arep, err := restored.EpochIdempotent(&EpochRequest{SpeedFactor: uniformFactors(resp.K, 0.9)}, "commit-A")
 	if err != nil || arep.Epoch != 1 {
 		t.Fatalf("restored retry of older commit: %+v err %v", arep, err)
 	}
@@ -784,7 +784,7 @@ func TestCommitDedupDepth(t *testing.T) {
 	}
 	total := commitDedupDepth + 3
 	reports := make([]*SolveReport, total)
-	drift := &EpochRequest{SpeedFactor: driftFactors(pl.K(), 0.99)}
+	drift := &EpochRequest{SpeedFactor: uniformFactors(pl.K(), 0.99)}
 	for i := 0; i < total; i++ {
 		reports[i], err = sess.EpochIdempotent(drift, fmt.Sprintf("commit-%02d", i))
 		if err != nil {

@@ -289,7 +289,7 @@ func TestHealthzConditions(t *testing.T) {
 	})
 	var erep SolveReport
 	doJSON(t, client, "POST", ts.URL+"/sessions/"+created.ID+"/epoch", &EpochRequest{
-		SpeedFactor: driftFactors(created.K, 0.95),
+		SpeedFactor: uniformFactors(created.K, 0.95),
 	}, &erep, http.StatusOK)
 	doJSON(t, client, "GET", ts.URL+"/healthz", nil, &healthy, http.StatusOK)
 	if healthy.Status != "ok" {
